@@ -277,6 +277,10 @@ let victim_pids ~seed ~k = function
    from perturbing the stream. *)
 type cnode = Runtime.t -> frozen:(Runtime.proc -> bool) -> decision option
 
+(* The root's exclusion.  Base schedulers recognise it by physical
+   equality and skip the per-process [frozen] tests. *)
+let nothing_frozen (_ : Runtime.proc) = false
+
 let compile expr ~seed ~k =
   (* Seed allocation: the first scheduler stream and the first crash
      plan land on the exact legacy seeds (seed, seed + 1); further
@@ -296,24 +300,34 @@ let compile expr ~seed ~k =
   let uniform () : cnode =
     let rng = Rng.create ~seed:(sched_seed ()) in
     fun rt ~frozen ->
-      match Freeze.uniform_avoiding ~rng ~frozen rt with
-      | Some p -> Some (Commit p)
-      | None -> None
+      if frozen == nothing_frozen then begin
+        (* the draw [uniform_avoiding] makes, without its two passes *)
+        let eligible = Runtime.num_runnable rt in
+        if eligible = 0 then None
+        else Some (Commit (Runtime.nth_runnable rt (Rng.int rng eligible)))
+      end
+      else
+        match Freeze.uniform_avoiding ~rng ~frozen rt with
+        | Some p -> Some (Commit p)
+        | None -> None
   in
   let lockstep () : cnode =
     let rng = Rng.create ~seed:(sched_seed ()) in
     fun rt ~frozen ->
-      let eligible = ref 0 in
-      Runtime.iter_runnable rt (fun p -> if not (frozen p) then incr eligible);
-      if !eligible = 0 then None
+      (* one pass for the least step count and how many share it, one to
+         pick the drawn one among them *)
+      let min_steps = ref max_int and count = ref 0 in
+      Runtime.iter_runnable rt (fun p ->
+          if not (frozen p) then begin
+            let s = Runtime.steps p in
+            if s < !min_steps then begin
+              min_steps := s;
+              count := 1
+            end
+            else if s = !min_steps then incr count
+          end);
+      if !count = 0 then None
       else begin
-        let min_steps = ref max_int in
-        Runtime.iter_runnable rt (fun p ->
-            if (not (frozen p)) && Runtime.steps p < !min_steps then
-              min_steps := Runtime.steps p);
-        let count = ref 0 in
-        Runtime.iter_runnable rt (fun p ->
-            if (not (frozen p)) && Runtime.steps p = !min_steps then incr count);
         let j = Rng.int rng !count in
         let chosen = ref None in
         let i = ref 0 in
@@ -495,4 +509,4 @@ let compile expr ~seed ~k =
           end
   in
   let root = go expr in
-  fun rt -> root rt ~frozen:(fun _ -> false)
+  fun rt -> root rt ~frozen:nothing_frozen

@@ -167,7 +167,8 @@ let t1_comparison () =
     ~notes:
       [
         "Expected shape: MA has smallest steps but M=k(k+1)/2; the snapshot";
-        "baseline pays O(N)-size scans; PolyLog has polylog(N) steps with M=O(k);";
+        "baseline's adaptive scans grow with k and log N; PolyLog has polylog(N)";
+        "steps with M=O(k);";
         "Efficient reaches the optimal M=2k-1; Adaptive matches it without knowing k, N.";
       ]
     rows
@@ -250,8 +251,9 @@ let t3_efficient () =
     ~notes:
       [
         "Shape: M meas <= 2k-1 always; r/k^2 bounded.  steps/k grows with the";
-        "substituted final stage (snapshot renaming costs O(M') reads per scan";
-        "where AF would pay O(M') total) — see EXPERIMENTS.md, Substitution 2.";
+        "substituted final stage (snapshot renaming pays rounds x touched";
+        "components where AF would pay O(M') total) — see EXPERIMENTS.md,";
+        "Substitution 2.";
       ]
     rows
 
@@ -715,10 +717,11 @@ let f2_crossover () =
       [ 256; 1024; 4096; 16384; 65536 ]
   in
   Table.make ~id:"F2" ~title:(Printf.sprintf "series: steps vs N at k=%d — who wins where" k)
-    ~header:[ "N"; "snapshot O(N)"; "Basic"; "PolyLog"; "Efficient (N-free)" ]
+    ~header:[ "N"; "snapshot"; "Basic"; "PolyLog"; "Efficient (N-free)" ]
     ~notes:
       [
-        "Shape: the O(N) baseline wins only at small N and grows linearly;";
+        "Shape: the snapshot baseline's collects are adaptive, so it grows with";
+        "the touched-flag tree's depth (log N), not linearly in N;";
         "Basic/PolyLog grow polylogarithmically; Efficient is flat in N.";
         "('-' = configuration too expensive for the harness budget.)";
       ]

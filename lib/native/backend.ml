@@ -1,26 +1,24 @@
 let backend = "native"
 
 (* Registers are allocated while the memory is built on one domain,
-   before the engine starts any worker, so plain mutable state suffices.
-   Allocation names are kept (reversed) so telemetry and the probe
-   wrapper can label registers; the cells themselves stay bare Atomic.t
-   values — the name list is never touched on the hot path. *)
-type memory = { mutable names : string list }
+   before the engine starts any worker, so a plain mutable counter
+   suffices.  Names are not kept: a register is its bare Atomic.t cell,
+   and {!Probe_backend} labels allocations when telemetry wants them. *)
+type memory = { mutable count : int }
 
 type 'a reg = 'a Atomic.t
 
 type runner = Engine.t
 
-let create () = { names = [] }
+let create () = { count = 0 }
 
-let alloc mem ~name init =
-  mem.names <- name :: mem.names;
+let alloc mem ~name:_ init =
+  mem.count <- mem.count + 1;
   Atomic.make init
 
 let read = Atomic.get
 let write = Atomic.set
 let peek = Atomic.get
-let registers mem = List.length mem.names
-let register_names mem = List.rev mem.names
+let registers mem = mem.count
 let spawn eng ~name body = Engine.spawn eng ~name body
 let yield () = Domain.cpu_relax ()

@@ -3,10 +3,10 @@
     atomic read/write registers), processes are {!Engine} tasks on real
     domains.
 
-    Register names are recorded in the memory at allocation time — there
-    is still no register file to index (a register {e is} its atomic
-    cell), but {!register_names} lets telemetry, diagnostics and the
-    {!Probe_backend} wrapper label allocations.  [peek] is a plain
+    The memory only counts allocations: there is no register file to
+    index (a register {e is} its atomic cell) and allocation names are
+    dropped; wrap the memory in {!Probe_backend} to label and count
+    accesses per register.  [peek] is a plain
     [Atomic.get]: unlike the simulator there is no out-of-execution
     vantage point, so tests must peek only at quiescence (after
     {!Engine.run} returns). *)
@@ -19,7 +19,3 @@ include
 val create : unit -> memory
 (** A fresh register-accounting scope.  Build the algorithm (allocating
     all registers) on one domain before running the engine. *)
-
-val register_names : memory -> string list
-(** Allocation names in allocation order (duplicates possible when an
-    algorithm allocates arrays under one name). *)

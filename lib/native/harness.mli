@@ -27,7 +27,7 @@ val algo_name : algo -> string
 val algo_of_string : string -> algo option
 
 type reg_stat = {
-  rs_name : string;  (** allocation name ({!Backend.register_names}) *)
+  rs_name : string;  (** allocation name ({!Probe_backend.S.counts}) *)
   rs_reads : int;
   rs_writes : int;
 }

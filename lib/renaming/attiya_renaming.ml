@@ -15,6 +15,21 @@ let nth_free taken rank =
   in
   go 0 rank taken
 
+type step = Decided of int | Propose of int
+
+let decide ~me proposal (view : cell option Exsel_snapshot.Snapshot.touched) =
+  let taken = ref [] and below = ref 0 in
+  Array.iter
+    (function
+      | Some c when c.id <> me ->
+          if c.id < me then incr below;
+          Option.iter (fun p -> taken := p :: !taken) c.proposal
+      | Some _ | None -> ())
+    view.vals;
+  match proposal with
+  | Some name when not (List.mem name !taken) -> Decided name
+  | Some _ | None -> Propose (nth_free !taken (!below + 1))
+
 module type S = sig
   type memory
   type t
@@ -46,21 +61,9 @@ module Make (B : Exsel_backend.Intf.S) = struct
       invalid_arg "Attiya_renaming.rename: slot out of range";
     let rec round proposal =
       Snapshot.update t.snap ~me:slot (Some { id = slot; proposal });
-      let view = Snapshot.scan t.snap ~me:slot in
-      let others =
-        view |> Array.to_list
-        |> List.filter_map (fun c -> c)
-        |> List.filter (fun c -> c.id <> slot)
-      in
-      let taken = List.filter_map (fun c -> c.proposal) others in
-      match proposal with
-      | Some name when not (List.mem name taken) -> Some name
-      | Some _ | None -> (
-          let participants_below =
-            List.length (List.filter (fun c -> c.id < slot) others)
-          in
-          let rank = participants_below + 1 in
-          let next = nth_free taken rank in
+      match decide ~me:slot proposal (Snapshot.scan_touched t.snap ~me:slot) with
+      | Decided name -> Some name
+      | Propose next -> (
           match t.cap with
           | Some cap when next > cap ->
               Snapshot.update t.snap ~me:slot None;

@@ -17,6 +17,22 @@
     component and reports failure), so an overloaded instance never emits
     a name outside its reserved interval. *)
 
+type cell = { id : int; proposal : int option }
+(** A participant's published component: its slot, and its current
+    proposal ([None] before the first). *)
+
+type step =
+  | Decided of int  (** the proposal is unique in the view: keep it *)
+  | Propose of int  (** propose this name next *)
+
+val decide :
+  me:int -> int option -> cell option Exsel_snapshot.Snapshot.touched -> step
+(** [decide ~me proposal view] is one round's verdict for slot [me] after
+    publishing [proposal] and scanning [view]: keep a proposal no other
+    participant holds, otherwise propose the [r]-th name no other
+    participant proposes, [r] being one plus the number of participants
+    with a smaller slot.  Shared with {!Long_lived}. *)
+
 (** The protocol over any {!Exsel_backend.Intf.S} substrate (it only needs
     the atomic snapshot, itself a functor over the backend). *)
 module type S = sig

@@ -76,7 +76,7 @@ module Make (B : Exsel_backend.Intf.S) = struct
   let registers t =
     (t.k * (t.k + 1))
     + Polylog.registers t.polylog
-    + Polylog.names t.polylog
+    + Exsel_snapshot.Snapshot.registers ~n:(Polylog.names t.polylog)
 end
 
 include Make (Exsel_sim.Backend)

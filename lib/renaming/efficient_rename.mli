@@ -39,7 +39,11 @@ module type S = sig
   (** [me] is any integer identifier, unique per process. *)
 
   val steps_bound : t -> int
+
   val registers : t -> int
+  (** Registers the instance allocates: the Moir–Anderson grid, the
+      PolyLog epochs and the final snapshot ({!Exsel_snapshot.Snapshot.registers},
+      touched flags included). *)
 end
 
 module Make (B : Exsel_backend.Intf.S) : S with type memory = B.memory

@@ -1,16 +1,3 @@
-type cell = { id : int; proposal : int option }
-
-(* The [rank]-th (1-based) natural number not present in [taken].
-   Backend-independent: pure list arithmetic on a scanned view. *)
-let nth_free taken rank =
-  let taken = List.sort_uniq compare taken in
-  let rec go candidate remaining taken =
-    match taken with
-    | next :: rest when next = candidate -> go (candidate + 1) remaining rest
-    | _ -> if remaining = 1 then candidate else go (candidate + 1) (remaining - 1) taken
-  in
-  go 0 rank taken
-
 module type S = sig
   type memory
   type t
@@ -27,7 +14,7 @@ module Make (B : Exsel_backend.Intf.S) = struct
 
   type memory = B.memory
 
-  type t = { n : int; snap : cell option Snapshot.t }
+  type t = { n : int; snap : Attiya_renaming.cell option Snapshot.t }
 
   let create mem ~name ~n =
     if n <= 0 then invalid_arg "Long_lived.create: n must be positive";
@@ -41,22 +28,10 @@ module Make (B : Exsel_backend.Intf.S) = struct
   let acquire t ~me =
     if me < 0 || me >= t.n then invalid_arg "Long_lived.acquire: bad slot";
     let rec round proposal =
-      Snapshot.update t.snap ~me (Some { id = me; proposal });
-      let view = Snapshot.scan t.snap ~me in
-      let others =
-        view |> Array.to_list
-        |> List.filter_map (fun c -> c)
-        |> List.filter (fun c -> c.id <> me)
-      in
-      let taken = List.filter_map (fun c -> c.proposal) others in
-      match proposal with
-      | Some name when not (List.mem name taken) -> name
-      | Some _ | None ->
-          let participants_below =
-            List.length (List.filter (fun c -> c.id < me) others)
-          in
-          let rank = participants_below + 1 in
-          round (Some (nth_free taken rank))
+      Snapshot.update t.snap ~me (Some { Attiya_renaming.id = me; proposal });
+      match Attiya_renaming.decide ~me proposal (Snapshot.scan_touched t.snap ~me) with
+      | Decided name -> name
+      | Propose next -> round (Some next)
     in
     round None
 
@@ -64,7 +39,7 @@ module Make (B : Exsel_backend.Intf.S) = struct
 
   let holder_view t =
     Array.map
-      (fun c -> match c with Some { proposal; _ } -> proposal | None -> None)
+      (function Some { Attiya_renaming.proposal; _ } -> proposal | None -> None)
       (Snapshot.peek t.snap)
 end
 

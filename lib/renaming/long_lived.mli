@@ -17,7 +17,10 @@
       crash model — a crashed holder is indistinguishable from a slow
       one).
 
-    Uses one [n]-component snapshot object ([n] registers).
+    Uses one [n]-component snapshot object
+    ({!Exsel_snapshot.Snapshot.registers}[ ~n] registers); its scans read
+    only the components that were ever written, and a round's decision
+    ({!Attiya_renaming.decide}) works on that sparse view.
 
     This is the exclusive-selection core of the long-lived service layer
     ({!Exsel_service.Core} holds one instance per shard and layers
@@ -40,7 +43,7 @@ module type S = sig
       process. *)
 
   val release : t -> me:int -> unit
-  (** Release the held name (one snapshot update: O(n) reads + 1 write).
+  (** Release the held name (one snapshot update: a scan plus one write).
       Call only while holding. *)
 
   val holder_view : t -> int option array

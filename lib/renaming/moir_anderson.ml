@@ -27,7 +27,8 @@ module Make (B : Exsel_backend.Intf.S) = struct
     let grid =
       Array.init side (fun r ->
           Array.init (side - r) (fun c ->
-              Sp.create mem ~name:(Printf.sprintf "%s(%d,%d)" name r c)))
+              Sp.create mem
+                ~name:(name ^ "(" ^ string_of_int r ^ "," ^ string_of_int c ^ ")")))
     in
     { side; grid }
 

@@ -81,7 +81,7 @@ module Make (B : Exsel_backend.Intf.S) = struct
     in
     let gens =
       Array.init width (fun i ->
-          B.alloc mem ~name:(Printf.sprintf "%s.gen[%d]" name i) gen0.(i))
+          B.alloc mem ~name:(name ^ ".gen[" ^ string_of_int i ^ "]") gen0.(i))
     in
     { cap; slots; width; algo; entry; hold; gens }
 

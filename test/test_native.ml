@@ -211,23 +211,24 @@ let test_backend_registers () =
   Backend.write s "next";
   Alcotest.(check string) "poly reg" "next" (Backend.read s)
 
-let test_backend_register_names () =
-  (* allocation names are kept (in allocation order), not dropped *)
-  let mem = Backend.create () in
-  Alcotest.(check (list string)) "fresh" [] (Backend.register_names mem);
-  ignore (Backend.alloc mem ~name:"a" 0);
-  ignore (Backend.alloc mem ~name:"b" 0);
-  ignore (Backend.alloc mem ~name:"a" 0);
-  Alcotest.(check (list string))
-    "allocation order, duplicates kept" [ "a"; "b"; "a" ]
-    (Backend.register_names mem);
-  Alcotest.(check int) "count agrees" 3 (Backend.registers mem)
-
 (* ------------------------------------------------------------------ *)
 (* Probe backend: per-register access counting                         *)
 (* ------------------------------------------------------------------ *)
 
 module Probed = Exsel_native.Probe_backend.Make (Backend)
+
+let test_backend_register_names () =
+  (* the plain backend only counts allocations; the probe wrapper keeps
+     their names, aggregated per name in first-allocation order *)
+  let mem = Probed.wrap (Backend.create ()) in
+  let names () = List.map (fun (name, _, _) -> name) (Probed.counts mem) in
+  Alcotest.(check (list string)) "fresh" [] (names ());
+  ignore (Probed.alloc mem ~name:"a" 0);
+  ignore (Probed.alloc mem ~name:"b" 0);
+  ignore (Probed.alloc mem ~name:"a" 0);
+  Alcotest.(check (list string)) "first-allocation order, one entry per name"
+    [ "a"; "b" ] (names ());
+  Alcotest.(check int) "count agrees" 3 (Probed.registers mem)
 
 let test_probe_counts () =
   let mem = Probed.wrap (Backend.create ()) in
@@ -250,6 +251,27 @@ let test_probe_counts () =
     "aggregated by name"
     [ ("r", 3, 2); ("s", 1, 0) ]
     (Probed.counts mem)
+
+module SnapN = Exsel_snapshot.Snapshot.Make (Backend)
+
+let test_snapshot_scan_touched () =
+  (* the sparse scan is the dense scan with the never-written components
+     dropped (written values are never the initial one here) *)
+  let n = 37 in
+  let mem = Backend.create () in
+  let snap = SnapN.create mem ~name:"w" ~n ~init:(-1) in
+  Alcotest.(check int) "registers" (Exsel_snapshot.Snapshot.registers ~n)
+    (Backend.registers mem);
+  let rng = Random.State.make [| 7 |] in
+  for round = 0 to 60 do
+    let dense = SnapN.scan snap ~me:0 in
+    let { Exsel_snapshot.Snapshot.idx; vals } = SnapN.scan_touched snap ~me:0 in
+    Alcotest.(check (list (pair int int)))
+      (Printf.sprintf "round %d" round)
+      (List.filter (fun (_, v) -> v <> -1) (List.mapi (fun i v -> (i, v)) (Array.to_list dense)))
+      (List.combine (Array.to_list idx) (Array.to_list vals));
+    SnapN.update snap ~me:(Random.State.int rng n) round
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Cross-validation: every algorithm, several domain counts, repeated  *)
@@ -429,6 +451,7 @@ let () =
           Alcotest.test_case "register names" `Quick
             test_backend_register_names;
           Alcotest.test_case "probe counts" `Quick test_probe_counts;
+          Alcotest.test_case "snapshot scan_touched" `Quick test_snapshot_scan_touched;
         ] );
       ( "cross-validation",
         [

@@ -716,6 +716,18 @@ let test_basic_budgets_non_power_of_two () =
   Alcotest.(check (list int)) "11 -> 6 -> 3 -> 2 -> 1" [ 11; 6; 3; 2; 1 ]
     (Basic_rename.stage_budgets b)
 
+let test_efficient_register_accounting () =
+  (* the formula counts every register [create] allocates, the final
+     snapshot's touched flags included *)
+  List.iter
+    (fun k ->
+      let mem = Memory.create () in
+      let e = Efficient_rename.create ~rng:(Rng.create ~seed:k) mem ~name:"eff" ~k in
+      Alcotest.(check int)
+        (Printf.sprintf "k=%d" k)
+        (Memory.registers mem) (Efficient_rename.registers e))
+    [ 4; 16; 48 ]
+
 let test_efficient_rejects_bad_k () =
   let mem = Memory.create () in
   Alcotest.(check bool) "k=0 rejected" true
@@ -944,6 +956,7 @@ let () =
         [
           Alcotest.test_case "optimal range" `Quick test_efficient_names_optimal_range;
           Alcotest.test_case "overflow reports" `Quick test_efficient_overflow_reports_none;
+          Alcotest.test_case "register accounting" `Quick test_efficient_register_accounting;
         ] );
       ( "adaptive",
         [

@@ -78,6 +78,45 @@ let test_scan_linearizable_under_random_schedules () =
       !scans
   done
 
+let test_linearizable_three_levels () =
+  (* n = 20 gives a three-level flag tree; the updaters sit at the edges
+     of leaf groups, and only some groups are ever touched *)
+  let n = 20 in
+  let slots = [ 0; 3; 7; 13; 19 ] in
+  for seed = 1 to 30 do
+    let mem = Memory.create () in
+    let rt = Runtime.create mem in
+    let snap = Snapshot.create mem ~name:"w" ~n ~init:0 in
+    let writes = ref [] and scans = ref [] in
+    List.iter
+      (fun i ->
+        ignore
+          (Runtime.spawn rt ~name:(Printf.sprintf "u%d" i) (fun () ->
+               for v = 1 to 3 do
+                 let value = (100 * (i + 1)) + v in
+                 Snapshot.update snap ~me:i value;
+                 writes := { Linearize.at = Runtime.commits rt; location = i; value } :: !writes
+               done)))
+      slots;
+    ignore
+      (Runtime.spawn rt ~name:"scanner" (fun () ->
+           for _ = 1 to 4 do
+             let lo = Runtime.commits rt in
+             let view = Snapshot.scan snap ~me:1 in
+             scans := (lo, Runtime.commits rt, view) :: !scans
+           done));
+    Scheduler.run rt (Scheduler.random (Rng.create ~seed));
+    List.iter
+      (fun (lo, hi, view) ->
+        let view = Array.to_list (Array.mapi (fun i v -> (i, v)) view) in
+        if
+          not
+            (Linearize.consistent_cut ~writes:(List.rev !writes) ~window:(lo, hi) ~view
+               ~init:(fun _ -> 0))
+        then Alcotest.failf "seed %d: a scan is not a consistent cut" seed)
+      !scans
+  done
+
 let test_scan_never_goes_backwards () =
   (* Repeated scans by one process must observe monotonically advancing
      per-component values (single-writer components only advance). *)
@@ -163,15 +202,126 @@ let test_crashed_updater_does_not_block_scan () =
     (Runtime.status scanner = Runtime.Done);
   Alcotest.(check int) "own component untouched" 0 !view.(0)
 
-let test_wait_free_solo_scan_steps () =
-  (* a solo scan costs exactly 2 collects = 2n reads *)
+(* Steps of one solo process running [body] after [setup] ran solo. *)
+let solo_steps ?(setup = fun _ -> ()) ~n body =
   let mem = Memory.create () in
   let rt = Runtime.create mem in
-  let n = 5 in
   let snap = Snapshot.create mem ~name:"w" ~n ~init:0 in
-  let p = Runtime.spawn rt ~name:"p" (fun () -> ignore (Snapshot.scan snap ~me:0)) in
+  ignore (Runtime.spawn rt ~name:"setup" (fun () -> setup snap));
   Scheduler.run rt (Scheduler.round_robin ());
-  Alcotest.(check int) "2n reads" (2 * n) (Runtime.steps p)
+  let p = Runtime.spawn rt ~name:"p" (fun () -> body snap) in
+  Scheduler.run rt (Scheduler.round_robin ());
+  Runtime.steps p
+
+let test_wait_free_solo_scan_steps () =
+  let fan = Snapshot.fan in
+  let n = fan * fan in
+  (* never written: each of the two collects reads the root flag only *)
+  Alcotest.(check int) "untouched: root twice" 2
+    (solo_steps ~n (fun snap -> ignore (Snapshot.scan snap ~me:0)));
+  (* t slots written, one per leaf group: a collect reads the root, its
+     fan leaf flags and the fan cells under each of the t raised leaves *)
+  for t = 1 to fan do
+    let setup snap =
+      for g = 0 to t - 1 do
+        Snapshot.update snap ~me:(g * fan) (g + 1)
+      done
+    in
+    Alcotest.(check int)
+      (Printf.sprintf "%d touched groups" t)
+      (2 * (1 + fan + (t * fan)))
+      (solo_steps ~setup ~n (fun snap -> ignore (Snapshot.scan snap ~me:0)))
+  done;
+  (* two slots in one leaf group cost what one does *)
+  Alcotest.(check int) "one group, two slots"
+    (2 * (1 + fan + fan))
+    (solo_steps
+       ~setup:(fun snap ->
+         Snapshot.update snap ~me:0 1;
+         Snapshot.update snap ~me:1 1)
+       ~n
+       (fun snap -> ignore (Snapshot.scan snap ~me:0)));
+  (* a first update: the embedded scan, one flag per level, the cell *)
+  Alcotest.(check int) "first update" (2 + 2 + 1)
+    (solo_steps ~n (fun snap -> Snapshot.update snap ~me:0 1));
+  Alcotest.(check int) "registers" (n + fan + 1) (Snapshot.registers ~n)
+
+let test_crash_between_flags_and_cell () =
+  (* the updater raises its flags, then crashes before its cell write: a
+     scan descends into the raised path and still returns the initial
+     value *)
+  let fan = Snapshot.fan in
+  let n = fan * fan in
+  let mem = Memory.create () in
+  let rt = Runtime.create mem in
+  let snap = Snapshot.create mem ~name:"w" ~n ~init:0 in
+  let updater = Runtime.spawn rt ~name:"updater" (fun () -> Snapshot.update snap ~me:0 9) in
+  (* two root reads (the embedded scan), then the two flag writes *)
+  for _ = 1 to 4 do
+    Runtime.commit rt updater
+  done;
+  Alcotest.(check bool) "cell write pending" true
+    (match Runtime.pending updater with
+    | Some (Runtime.Write _) -> true
+    | Some (Runtime.Read _) | None -> false);
+  Runtime.crash rt updater;
+  let view = ref [||] in
+  let scanner = Runtime.spawn rt ~name:"scanner" (fun () -> view := Snapshot.scan snap ~me:1) in
+  Scheduler.run rt (Scheduler.round_robin ());
+  Alcotest.(check (array int)) "initial view" (Array.make n 0) !view;
+  Alcotest.(check int) "collects descend into the raised path"
+    (2 * (1 + fan + fan))
+    (Runtime.steps scanner)
+
+(* Every schedule, with at most one crash, of two first updates in
+   different leaf groups of a two-level flag tree and a third process
+   scanning.  Each updater then announces its finished update in a
+   register that the scanner reads before it scans.  The check depends
+   only on what each process read, so [`State_hash] may merge schedules
+   that reach the same state: the view holds only written values and
+   includes every update the scanner knew to be finished.  A crash
+   between an updater's flag writes and its cell write is one of the
+   schedules. *)
+let test_exhaustive_two_levels () =
+  let n = Snapshot.fan + 1 in
+  let updaters = [ 0; n - 1 ] and scanner = 1 in
+  let init () =
+    let mem = Memory.create () in
+    let rt = Runtime.create mem in
+    let snap = Snapshot.create mem ~name:"w" ~n ~init:0 in
+    let finished =
+      List.map
+        (fun slot ->
+          let r = Register.create mem ~name:(Printf.sprintf "done%d" slot) false in
+          ignore
+            (Runtime.spawn rt ~name:(Printf.sprintf "u%d" slot) (fun () ->
+                 Snapshot.update snap ~me:slot 1;
+                 Runtime.write r true));
+          (slot, r))
+        updaters
+    in
+    let result = ref None in
+    ignore
+      (Runtime.spawn rt ~name:"scanner" (fun () ->
+           let known = List.filter (fun (_, r) -> Runtime.read r) finished in
+           result := Some (List.map fst known, Snapshot.scan snap ~me:scanner)));
+    (result, rt)
+  in
+  let check result _rt =
+    match !result with
+    | None -> Ok ()
+    | Some (known, view) ->
+        let valid i x = x = 0 || (x = 1 && List.mem i updaters) in
+        if not (Array.for_all Fun.id (Array.mapi valid view)) then Error "phantom value"
+        else if List.exists (fun i -> view.(i) <> 1) known then
+          Error "the scan misses an update finished before it began"
+        else Ok ()
+  in
+  let o = Explore.run ~reduction:`State_hash ~max_crashes:1 ~init ~check () in
+  (match o.Explore.failure with
+  | Some (msg, _) -> Alcotest.failf "two-level snapshot: %s" msg
+  | None -> ());
+  Alcotest.(check bool) "not truncated" false o.Explore.truncated
 
 module IS = Exsel_snapshot.Immediate_snapshot
 
@@ -261,10 +411,15 @@ let () =
           Alcotest.test_case "solo scan" `Quick test_solo_scan_is_flat_collect;
           Alcotest.test_case "scan linearizable (random schedules)" `Quick
             test_scan_linearizable_under_random_schedules;
+          Alcotest.test_case "linearizable, three flag levels" `Quick
+            test_linearizable_three_levels;
           Alcotest.test_case "scans monotone" `Quick test_scan_never_goes_backwards;
           Alcotest.test_case "helping path" `Quick test_update_embeds_valid_help;
           Alcotest.test_case "crash tolerance" `Quick test_crashed_updater_does_not_block_scan;
           Alcotest.test_case "solo scan step count" `Quick test_wait_free_solo_scan_steps;
+          Alcotest.test_case "crash between flags and cell" `Quick
+            test_crash_between_flags_and_cell;
+          Alcotest.test_case "exhaustive two flag levels" `Quick test_exhaustive_two_levels;
         ] );
       ( "immediate-snapshot",
         [
